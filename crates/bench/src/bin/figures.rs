@@ -1,13 +1,13 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] [table4 table5 fig5 fig6 ... fig15 ablation batch cache churn refresh refresh-incremental codec obs serve cluster | all]
+//! figures [--quick] [table4 table5 fig5 fig6 ... fig15 ablation batch cache churn refresh refresh-incremental codec obs serve | all]
 //! ```
 //!
 //! `--quick` shrinks the collection for smoke runs; default scales are the
 //! DESIGN.md §3 reductions of the paper's setup.
 
-use bench::{cluster, figs, loadgen, Params};
+use bench::{figs, loadgen, Params};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +41,6 @@ fn main() {
             "codec",
             "obs",
             "serve",
-            "cluster",
         ];
     }
 
@@ -102,7 +101,6 @@ fn main() {
             "codec" => figs::codec(&p),
             "obs" => figs::obs(&p),
             "serve" => loadgen::serve(&p),
-            "cluster" => cluster::scaling(&p),
             other => {
                 eprintln!("unknown experiment: {other}");
                 std::process::exit(2);

@@ -13,7 +13,6 @@
 //! * candidate-selection **runtime** (ms, total),
 //! * **approximation ratio** — approx cardinality / exact cardinality.
 
-pub mod cluster;
 pub mod figs;
 pub mod harness;
 pub mod loadgen;

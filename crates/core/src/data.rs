@@ -46,6 +46,25 @@ impl QuerySpec {
     pub fn ref_len(&self) -> u64 {
         (self.ox_doc.num_terms() + self.ws).max(1) as u64
     }
+
+    /// Checks that the spec describes a query the engine can answer:
+    /// `k ≥ 1`, at least one candidate location, and finite coordinates on
+    /// every location. Every method assumes these, so callers that take
+    /// specs from outside (the network front door) check here first.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.k == 0 {
+            return Err("k must be at least 1".into());
+        }
+        if self.locations.is_empty() {
+            return Err("the candidate location list is empty".into());
+        }
+        if let Some(i) = self.locations.iter().position(|l| !l.is_finite()) {
+            return Err(format!(
+                "candidate location {i} has a non-finite coordinate"
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// The answer to a `MaxBRSTkNN` query.
@@ -100,5 +119,31 @@ mod tests {
             k: 1,
         };
         assert_eq!(spec.ref_len(), 1);
+    }
+
+    #[test]
+    fn validate_rejects_zero_k_empty_locations_and_non_finite_points() {
+        let ok = QuerySpec {
+            ox_doc: Document::new(),
+            locations: vec![Point::new(0.0, 0.0)],
+            keywords: vec![TermId(3)],
+            ws: 1,
+            k: 1,
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        let zero_k = QuerySpec { k: 0, ..ok.clone() };
+        assert!(zero_k.validate().is_err());
+        let no_locations = QuerySpec {
+            locations: vec![],
+            ..ok.clone()
+        };
+        assert!(no_locations.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let spec = QuerySpec {
+                locations: vec![Point::new(0.0, 0.0), Point::new(1.0, bad)],
+                ..ok.clone()
+            };
+            assert!(spec.validate().is_err());
+        }
     }
 }

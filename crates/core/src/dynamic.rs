@@ -64,11 +64,11 @@ use crate::{Engine, ObjectData, UserData};
 /// streams.
 #[derive(Debug, Clone)]
 pub enum Mutation {
-    /// Add an object (id must be unused).
+    /// Add an object (id must be unused, point finite).
     InsertObject(ObjectData),
     /// Remove the object with this id.
     RemoveObject(u32),
-    /// Add a user (id must be unused).
+    /// Add a user (id must be unused, point finite).
     InsertUser(UserData),
     /// Remove the user with this id.
     RemoveUser(u32),
@@ -105,7 +105,8 @@ impl std::ops::AddAssign for MaintenanceIo {
 pub struct BatchReport {
     /// Mutations applied.
     pub applied: usize,
-    /// Mutations rejected (duplicate insert id, unknown remove id).
+    /// Mutations rejected (duplicate insert id, non-finite insert point,
+    /// unknown remove id).
     pub rejected: usize,
     /// Total maintenance I/O of the applied mutations.
     pub io: MaintenanceIo,
@@ -150,7 +151,8 @@ impl Engine {
     /// Inserts an object into the table and both object indexes (MIR and
     /// IR), weighing its document under the frozen build-time model.
     /// Returns `None` without touching anything when the id is already in
-    /// use.
+    /// use or the location has a non-finite coordinate (a NaN point would
+    /// poison every later distance comparison).
     ///
     /// Weights are clamped to the frozen per-term maxima `wmax(t)`: every
     /// pruning bound in the engine (group `TS` caps, baseline upper
@@ -160,7 +162,7 @@ impl Engine {
     /// `wmax` — but TF-IDF's `tf · idf` is unbounded in `tf`, and an
     /// unclamped outlier would make exact methods silently unsound.
     pub fn insert_object(&mut self, obj: ObjectData) -> Option<MaintenanceIo> {
-        if self.objects.iter().any(|o| o.id == obj.id) {
+        if !obj.point.is_finite() || self.objects.iter().any(|o| o.id == obj.id) {
             return None;
         }
         let weighed = self.ctx.text.weigh(&obj.doc);
@@ -210,9 +212,10 @@ impl Engine {
 
     /// Inserts a user into the table and, when built, the MIUR-tree (with
     /// its normalizer computed under the frozen model). Returns `None`
-    /// when the id is already in use.
+    /// when the id is already in use or the location has a non-finite
+    /// coordinate.
     pub fn insert_user(&mut self, user: UserData) -> Option<MaintenanceIo> {
-        if self.users.iter().any(|u| u.id == user.id) {
+        if !user.point.is_finite() || self.users.iter().any(|u| u.id == user.id) {
             return None;
         }
         let mut io = MaintenanceIo::default();
@@ -309,10 +312,8 @@ impl Engine {
 
     /// Post-mutation bookkeeping for user changes: bump both generation
     /// counters and drop every threshold-cache entry including the
-    /// memoized super-user. Crate-visible so [`crate::cluster`] can drain
-    /// a user shard to empty (a path [`Engine::remove_user`] forbids for
-    /// standalone engines) while keeping the epochs honest.
-    pub(crate) fn finish_user_mutation(&mut self) {
+    /// memoized super-user.
+    fn finish_user_mutation(&mut self) {
         self.epoch += 1;
         self.user_epoch += 1;
         self.user_muts_since_refresh += 1;

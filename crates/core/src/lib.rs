@@ -29,7 +29,6 @@
 mod arena;
 mod bounds;
 mod cache;
-pub mod cluster;
 mod data;
 pub mod dynamic;
 mod group;
@@ -45,7 +44,6 @@ pub mod user_index;
 
 pub use arena::QueryArena;
 pub use cache::{JointThresholds, ThresholdCache, DEFAULT_K_CAPACITY};
-pub use cluster::EngineCluster;
 pub use data::{ObjectData, QueryResult, QuerySpec, UserData};
 pub use dynamic::{BatchReport, EpochGuard, MaintenanceIo, Mutation};
 pub use group::UserGroup;

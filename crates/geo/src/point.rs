@@ -21,6 +21,12 @@ impl Point {
         Point { x, y }
     }
 
+    /// Whether both coordinates are finite (neither NaN nor infinite).
+    #[inline]
+    pub fn is_finite(&self) -> bool {
+        self.x.is_finite() && self.y.is_finite()
+    }
+
     /// Squared Euclidean distance to `other`.
     ///
     /// Prefer this over [`Point::dist`] in comparisons: it avoids the square

@@ -3,23 +3,21 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7878] [--objects 20000] [--users 500]
 //!       [--seed 42] [--model lm|tfidf|ko] [--workers N]
-//!       [--queue-depth N] [--journal-hwm N] [--shards N]
+//!       [--queue-depth N] [--journal-hwm N]
 //! ```
 //!
 //! The corpus is the same deterministic Flickr-like stand-in the bench
 //! harness uses, so a client driving this process sees the data
 //! distribution of the paper's experiments. The engine is built with the
 //! user index (every built-in method is servable) and a background
-//! refresher absorbs journalled mutations. `--shards N` (or the
-//! `MBRSTK_SHARDS` environment variable; the flag wins) serves through an
-//! N-way [`EngineCluster`] instead of the single fused engine — answers
-//! are bit-identical, only the top-k phase parallelism changes. `0` or
-//! `1` means unsharded.
+//! refresher absorbs journalled mutations. One engine sits behind one
+//! [`ServingEngine`]; requests run in parallel across the worker threads
+//! (`--workers`, default one per core), each query on one thread.
 
 use std::sync::Arc;
 
 use datagen::{generate_objects, generate_workload, CorpusConfig, UserGenConfig};
-use mbrstk_core::{Engine, EngineCluster, ServingEngine};
+use mbrstk_core::{Engine, ServingEngine};
 use serve::{ServeConfig, Server};
 use text::WeightModel;
 
@@ -27,7 +25,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--objects N] [--users N] [--seed N]\n\
          \x20            [--model lm|tfidf|ko] [--workers N] [--queue-depth N]\n\
-         \x20            [--journal-hwm N] [--shards N]"
+         \x20            [--journal-hwm N]\n\
+         \n\
+         Serves one engine over TCP; --workers defaults to one per core."
     );
     std::process::exit(2);
 }
@@ -39,10 +39,6 @@ fn main() {
     let mut seed = 42u64;
     let mut model = WeightModel::LanguageModel { lambda: 0.2 };
     let mut cfg = ServeConfig::default();
-    let mut shards: usize = std::env::var("MBRSTK_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -55,7 +51,6 @@ fn main() {
             "--workers" => cfg.workers = parse(&val()),
             "--queue-depth" => cfg.queue_depth = parse(&val()),
             "--journal-hwm" => cfg.journal_high_water = parse(&val()),
-            "--shards" => shards = parse(&val()),
             "--model" => {
                 model = match val().as_str() {
                     "lm" => WeightModel::LanguageModel { lambda: 0.2 },
@@ -93,12 +88,7 @@ fn main() {
 
     eprintln!("building engine (model {model:?}, user index on)");
     let engine = Engine::build(object_data, workload.users, model, 0.5).with_user_index();
-    let serving = if shards > 1 {
-        eprintln!("sharding the user table {shards} ways");
-        ServingEngine::new_cluster(EngineCluster::from_engine(engine, shards))
-    } else {
-        ServingEngine::new(engine)
-    };
+    let serving = ServingEngine::new(engine);
     let _refresher = serving.start_refresher();
 
     let server = match Server::bind(addr.as_str(), Arc::clone(&serving), cfg) {

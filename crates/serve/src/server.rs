@@ -438,10 +438,14 @@ impl Worker {
             Request::Query { method, spec } => {
                 self.metrics.req_query.inc();
                 let start = Instant::now();
+                // Errors are counted, not latency-sampled: `req_query`
+                // always equals `lat_query.count + query_errors`, so the
+                // counter and histogram reconcile.
+                if let Err(why) = spec.validate() {
+                    self.metrics.query_errors.inc();
+                    return Reply::Error(format!("invalid query spec: {why}"));
+                }
                 if method.requires_user_index() && self.engine.snapshot().miur.is_none() {
-                    // Counted, not latency-sampled: `req_query` always
-                    // equals `lat_query.count + query_errors`, so the
-                    // counter and histogram reconcile.
                     self.metrics.query_errors.inc();
                     return Reply::Error(format!(
                         "method {} requires the user index, but the served engine \

@@ -18,7 +18,9 @@
 //!     explicit refusal — never a wrong or partial answer.
 //! (d) **Malformed input** — a bad frame gets a [`Reply::Error`] and the
 //!     connection is closed; an oversize length prefix never reaches the
-//!     allocator.
+//!     allocator; a well-formed but unanswerable query spec (`k = 0`, no
+//!     location, a non-finite location) gets a [`Reply::Error`] and the
+//!     worker keeps serving.
 //! (e) **Introspection** — `stats` returns the engine's counters as JSON
 //!     and `metrics` returns a Prometheus page that includes the serve
 //!     counters next to the engine's own.
@@ -395,6 +397,65 @@ fn malformed_frames_get_error_replies() {
     // clients above poisoned nothing shared.
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.stats_json().unwrap();
+}
+
+/// Specs that decode fine but describe no answerable query (`k = 0`, no
+/// candidate location, a NaN location) get a `Reply::Error` on the same
+/// connection and count as query errors. With a single worker, a valid
+/// query answered afterwards proves the worker survived them.
+#[test]
+fn invalid_query_specs_get_error_replies_and_the_worker_survives() {
+    let serving = serving_engine(29);
+    let server = bind(
+        &serving,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let valid = specs().remove(0);
+    let hostile = [
+        QuerySpec {
+            k: 0,
+            ..valid.clone()
+        },
+        QuerySpec {
+            locations: vec![],
+            ..valid.clone()
+        },
+        QuerySpec {
+            locations: vec![Point::new(f64::NAN, 1.0)],
+            ..valid.clone()
+        },
+    ];
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for method in Method::ALL {
+        for spec in &hostile {
+            let reply = client
+                .request(&Request::Query {
+                    method,
+                    spec: spec.clone(),
+                })
+                .expect("the server answers an invalid spec");
+            match reply {
+                Reply::Error(msg) => assert!(msg.contains("invalid query spec"), "{msg}"),
+                other => panic!("{}: expected Error, got {other:?}", method.name()),
+            }
+        }
+    }
+    let net = client.query(Method::JointGreedy, &valid).unwrap();
+    assert_eq!(net, serving.query(&valid, Method::JointGreedy).0);
+    // The worker serves one connection at a time: release it first.
+    drop(client);
+    let mut fresh = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(fresh.query(Method::JointGreedy, &valid).unwrap(), net);
+
+    let snap = serving.snapshot().metrics().snapshot();
+    assert_eq!(
+        snap.counter("serve_request_errors_total{kind=\"query\"}"),
+        Some((Method::ALL.len() * hostile.len()) as u64)
+    );
 }
 
 /// `stats` carries the serving counters as JSON; `metrics` renders the

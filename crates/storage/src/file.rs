@@ -63,9 +63,16 @@ pub fn save_blockfile(bf: &BlockFile, path: &Path) -> io::Result<()> {
 }
 
 /// Reads a [`BlockFile`] previously written by [`save_blockfile`].
+///
+/// Every size the file declares (record count, record lengths) is checked
+/// against the file's actual length before anything is allocated for it,
+/// so a corrupted or hostile header is an `InvalidData` error, not an
+/// allocation abort.
 pub fn load_blockfile(path: &Path) -> io::Result<BlockFile> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut input = io::BufReader::new(std::fs::File::open(path)?);
+    let file = std::fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    let mut input = io::BufReader::new(file);
     let mut head = [0u8; 13];
     input.read_exact(&mut head)?;
     if &head[0..4] != MAGIC {
@@ -80,12 +87,21 @@ pub fn load_blockfile(path: &Path) -> io::Result<BlockFile> {
     }
     let codec = CodecId::from_u8(head[8]).ok_or_else(|| bad("unknown codec id"))?;
     let count = u32::from_le_bytes(head[9..13].try_into().unwrap()) as usize;
+    // Bytes left for payloads once the length table and bitmap are read.
+    let tables = count as u64 * 8 + count.div_ceil(8) as u64;
+    let mut payload_left = file_len
+        .checked_sub(head.len() as u64 + tables)
+        .ok_or_else(|| bad("record count exceeds the file length"))?;
 
     let mut lens = Vec::with_capacity(count);
     let mut lenbuf = [0u8; 8];
     for _ in 0..count {
         input.read_exact(&mut lenbuf)?;
-        lens.push(u64::from_le_bytes(lenbuf) as usize);
+        let len = u64::from_le_bytes(lenbuf);
+        payload_left = payload_left
+            .checked_sub(len)
+            .ok_or_else(|| bad("record lengths exceed the file length"))?;
+        lens.push(len as usize);
     }
     let mut bitmap = vec![0u8; count.div_ceil(8)];
     input.read_exact(&mut bitmap)?;
@@ -161,6 +177,38 @@ mod tests {
         bytes[8] = 0xEE; // clobber the codec id
         std::fs::write(&path, bytes).unwrap();
         assert!(load_blockfile(&path).is_err());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A header claiming more records than the file could hold is an
+    /// error before any allocation sized by it.
+    #[test]
+    fn oversized_record_count_rejected() {
+        let path = tmp("hugecount.bin");
+        save_blockfile(&BlockFile::new(), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_blockfile(&path).unwrap_err();
+        std::fs::remove_file(path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A record length running past the end of the file is an error, both
+    /// just past it and at an allocation-aborting size.
+    #[test]
+    fn record_length_past_eof_rejected() {
+        let mut bf = BlockFile::new();
+        bf.put(b"hello");
+        let path = tmp("longrecord.bin");
+        for len in [6, u64::MAX] {
+            save_blockfile(&bf, &path).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[13..21].copy_from_slice(&len.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            let err = load_blockfile(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "length {len}");
+        }
         std::fs::remove_file(path).ok();
     }
 

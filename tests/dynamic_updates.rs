@@ -6,10 +6,14 @@
 //!     object/user inserts and deletes, all six [`Method`]s answer
 //!     bit-identically to a fresh [`Engine::build`] over the surviving
 //!     object/user sets, on a cold engine and on one serving warm through
-//!     both caches while the mutations were applied.
+//!     both caches while the mutations were applied, under both record
+//!     codecs, with a refresh (full tier on one twin, incremental on the
+//!     other) in the middle of the stream.
 //! (b) **No stale threshold hits** — a cached same-`k` query after a
 //!     mutation re-pays the top-k phase (simulated I/O flows again and the
 //!     cache records a miss).
+//!     Inserts at non-finite coordinates are rejected and leave both
+//!     twins untouched.
 //! (c) **Incremental beats rebuild** — maintaining the indexes of a
 //!     10K-object engine through a churn batch costs ≥10× less simulated
 //!     I/O per mutation than a full rebuild.
@@ -161,6 +165,35 @@ fn mutation_script(rng: &mut StdRng, objects: &[ObjectData], users: &[UserData])
         .collect()
 }
 
+/// Inserts of unused ids (clear of the script's and the anchors') at
+/// NaN and infinite coordinates.
+fn non_finite_inserts() -> Vec<Mutation> {
+    let doc = Document::from_terms([t(1), t(6)]);
+    [
+        Point::new(f64::NAN, 1.0),
+        Point::new(1.0, f64::INFINITY),
+        Point::new(f64::NEG_INFINITY, f64::NAN),
+    ]
+    .into_iter()
+    .enumerate()
+    .flat_map(|(i, point)| {
+        let id = 50_000 + i as u32;
+        [
+            Mutation::InsertObject(ObjectData {
+                id,
+                point,
+                doc: doc.clone(),
+            }),
+            Mutation::InsertUser(UserData {
+                id,
+                point,
+                doc: doc.clone(),
+            }),
+        ]
+    })
+    .collect()
+}
+
 fn specs() -> Vec<QuerySpec> {
     [2usize, 4]
         .into_iter()
@@ -235,18 +268,38 @@ fn mutation_equivalence_warm_and_cold() {
                 .with_threshold_cache()
                 .with_page_cache(1 << 12);
 
-            for chunk in script.chunks(7) {
+            let chunks: Vec<&[Mutation]> = script.chunks(7).collect();
+            for (i, chunk) in chunks.iter().enumerate() {
                 let a = cold.apply_batch(chunk.to_vec());
                 let b = warm.apply_batch(chunk.to_vec());
                 assert_eq!(a.applied, b.applied, "seed {seed}: twins must agree");
                 assert_eq!(a.rejected, 0, "script only emits valid mutations");
+                if i == chunks.len() / 2 {
+                    // Mid-stream refresh, one tier per twin: the rest of
+                    // the script then maintains the re-weighed indexes.
+                    cold.refresh();
+                    warm.refresh_incremental();
+                }
                 // Keep the warm caches genuinely warm across mutations.
                 for spec in specs() {
                     let _ = warm.query(&spec, Method::JointExact);
                     let _ = warm.query(&spec, Method::UserIndexGreedy);
                 }
             }
-            assert_eq!(cold.epoch(), script.len() as u64);
+            // Every mutation and the refresh advanced the epoch once.
+            let epoch = script.len() as u64 + 1;
+            assert_eq!((cold.epoch(), warm.epoch()), (epoch, epoch));
+
+            // Non-finite points are rejected without touching either twin:
+            // the epoch stays put and the equivalence checks below see the
+            // same state as without them.
+            let hostile = non_finite_inserts();
+            for twin in [&mut cold, &mut warm] {
+                let report = twin.apply_batch(hostile.clone());
+                assert_eq!(report.applied, 0, "seed {seed}: non-finite insert accepted");
+                assert_eq!(report.rejected, hostile.len());
+            }
+            assert_eq!(cold.epoch(), epoch);
 
             // Fresh build over the surviving sets, in surviving table order.
             let rebuilt = build_codec(cold.objects.clone(), cold.users.clone(), codec);
